@@ -461,6 +461,29 @@ func BenchmarkAblationBatchReplay(b *testing.B) {
 	})
 }
 
+// BenchmarkPaperScaleReplay measures a 1024-run batched campaign of the
+// pubbed default path of matmult and ns, the two benchmarks whose seeds
+// overflow DL1 sets: the conflicted-seed replay that dominates a
+// paper-scale analysis, which the bs-based campaign benchmarks barely
+// reach.
+func BenchmarkPaperScaleReplay(b *testing.B) {
+	for _, bm := range []*malardalen.Benchmark{malardalen.MatMult(), malardalen.NS()} {
+		pubbed, _, err := pub.Transform(bm.Program)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := pubbed.MustExec(bm.Default()).Trace
+		dst := make([]float64, 1024)
+		b.Run(bm.Name, func(b *testing.B) {
+			e := proc.NewEngine(proc.DefaultModel())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.CampaignBatchInto(tr, dst, uint64(i), 0)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationMissJitter measures the cost of the optional randomized
 // bus-jitter term in the timing model.
 func BenchmarkAblationMissJitter(b *testing.B) {

@@ -285,7 +285,8 @@ type attemptResult struct {
 // attempt runs one (possibly hedged) dispatch round: the primary peer
 // starts immediately; if a hedge delay is configured and the primary has
 // neither answered nor failed when it elapses, the same spec races on a
-// second peer and the first valid summary wins, cancelling the loser.
+// second peer. The first racer to finish decides the round and the other
+// is cancelled: a valid summary wins it, a failure fails it.
 func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, error) {
 	primary := p.pick(nil)
 	if primary == nil {
@@ -303,52 +304,47 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 		})
 	}
 	launch(primary, false)
-	inFlight := 1
 
 	var hedgeCh <-chan time.Time
-	if p.policy.HedgeDelay > 0 && len(p.peers) > 1 {
-		ch, stop := p.clock.After(p.policy.HedgeDelay)
-		defer stop()
-		hedgeCh = ch
+	stopHedge := func() bool { return false }
+	defer func() { stopHedge() }()
+	armHedge := func() {
+		if p.policy.HedgeDelay > 0 && len(p.peers) > 1 {
+			hedgeCh, stopHedge = p.clock.After(p.policy.HedgeDelay)
+		}
 	}
+	armHedge()
 
-	var firstErr error
-	for inFlight > 0 {
+	for {
 		select {
 		case res := <-results:
-			inFlight--
-			if res.err == nil {
-				if res.hedged {
-					p.hedgeWins.Add(1)
-				}
-				cancel()
-				g.Wait()
-				return res.runs, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if permanentErr(res.err) {
-				cancel()
-				g.Wait()
+			cancel()
+			g.Wait()
+			if res.err != nil {
+				// Any racer still in flight is silent: a primary beside
+				// a failed hedge, or a hedge beside a failed primary.
+				// Waiting one out on the strength of a dead racer is how
+				// attempts pin themselves to the attempt timeout; fail the
+				// round instead and let the retry loop re-dispatch —
+				// backoff, fresh peer pick — with this round's racers
+				// cancelled.
 				return nil, res.err
 			}
-			// The hedge failed while the primary is still silent. Waiting
-			// out a potential straggler on the strength of a dead hedge is
-			// how attempts pin themselves to the attempt timeout; fail the
-			// round instead and let the retry loop re-dispatch — backoff,
-			// fresh peer pick — while this round's racers are cancelled.
-			if res.hedged && inFlight > 0 {
-				cancel()
-				g.Wait()
-				return nil, firstErr
+			if res.hedged {
+				p.hedgeWins.Add(1)
 			}
+			return res.runs, nil
 		case <-hedgeCh:
 			hedgeCh = nil
 			if sec := p.pick(primary); sec != nil {
 				p.hedges.Add(1)
 				launch(sec, true)
-				inFlight++
+			} else {
+				// Every other peer's breaker refuses admission right now.
+				// Breakers cool down, so ask again a hedge delay later
+				// instead of leaving a straggling primary to run alone
+				// until its attempt timeout.
+				armHedge()
 			}
 		case <-ctx.Done():
 			cancel()
@@ -356,8 +352,6 @@ func (p *Peers) attempt(ctx context.Context, spec pubtac.ShardSpec) ([]float64, 
 			return nil, ctx.Err()
 		}
 	}
-	g.Wait()
-	return nil, firstErr
 }
 
 // dispatch sends the shard to one peer under the per-attempt timeout and

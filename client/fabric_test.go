@@ -181,6 +181,78 @@ func TestPeersHedgeBeatsStraggler(t *testing.T) {
 	}
 }
 
+// A hedge that finds every other peer's breaker open waits for a breaker
+// to cool down rather than giving up on hedging: the straggling primary
+// would otherwise run alone until its attempt timeout.
+func TestPeersHedgeWaitsForOpenBreaker(t *testing.T) {
+	straggler := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer straggler.Close()
+	healthy := httptest.NewServer(shardHandler(t, nil, 0, ""))
+	defer healthy.Close()
+
+	p := NewFabric(PeersConfig{
+		Policy: RetryPolicy{HedgeDelay: 5 * time.Millisecond, BreakerCooldown: 50 * time.Millisecond},
+	}, straggler.URL, healthy.URL)
+	// The healthy peer's breaker is open when the hedge first fires.
+	hp := p.peers[1]
+	hp.state = breakerOpen
+	hp.openUntil = p.clock.Now().Add(p.policy.BreakerCooldown)
+
+	spec := testSpec(0, 16)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	runs, err := p.CollectShard(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(runs, wantRuns(spec)) {
+		t.Error("hedge winner returned different bytes")
+	}
+	if st := p.Stats(); st.Hedges != 1 || st.HedgeWins != 1 || st.Peers[1].Breaker != "closed" {
+		t.Errorf("stats = %+v, want Hedges=1 HedgeWins=1 and the healthy breaker closed", st)
+	}
+}
+
+// A primary that fails after the hedge went out fails the round rather
+// than leaving the attempt to wait on a straggling hedge; the retry
+// re-dispatches and succeeds.
+func TestPeersPrimaryFailureBesideStragglingHedge(t *testing.T) {
+	var fail atomic.Int64
+	fail.Store(1)
+	failOnce := shardHandler(t, &fail, http.StatusInternalServerError, "")
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(30 * time.Millisecond) // outlast the hedge delay
+		failOnce(w, r)
+	}))
+	defer flaky.Close()
+	straggler := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer straggler.Close()
+
+	// Round-robin makes the first peer the first primary.
+	p := NewFabric(PeersConfig{
+		Policy: RetryPolicy{HedgeDelay: 5 * time.Millisecond},
+	}, flaky.URL, straggler.URL)
+	spec := testSpec(0, 16)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	runs, err := p.CollectShard(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(runs, wantRuns(spec)) {
+		t.Error("retried dispatch returned different bytes")
+	}
+	if st := p.Stats(); st.Retries < 1 || st.Hedges < 1 {
+		t.Errorf("stats = %+v, want a hedged first round and a retry", st)
+	}
+}
+
 // Consecutive failures open a peer's breaker: the fabric stops dispatching
 // to it and the statusz snapshot says so.
 func TestPeersBreakerOpens(t *testing.T) {

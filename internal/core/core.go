@@ -282,6 +282,13 @@ func (a *Analyzer) analyzeOn(ctx context.Context, pubbed *program.Program, name 
 		return nil, fmt.Errorf("core: estimating %s(%s): %w", name, in.Name, err)
 	}
 	pa.Full = full
+	if conv.Estimate.Sample != nil {
+		// The converged sample is the prefix of the extended one (run i
+		// depends only on (root, i)): view that prefix, capped so an
+		// append cannot reach the extension, rather than keep a second
+		// copy of it.
+		conv.Estimate.Sample = full.Sample[:conv.Runs:conv.Runs]
+	}
 	// The shipped pWCET is built on the extended sample; if its battery
 	// fails where the convergence-time one passed, that deserves its own
 	// warning (a failing convergence battery already warned above).

@@ -251,6 +251,33 @@ func TestExtensionBatteryMatchesOneShot(t *testing.T) {
 	}
 }
 
+func TestExtensionSharesConvergedPrefix(t *testing.T) {
+	// When TAC extends the converged campaign, the convergence estimate's
+	// sample is the prefix of the extended sample, not a second copy of it;
+	// the prefix is capped, so appending to it cannot write into the
+	// extension.
+	b := malardalen.BS()
+	pa, err := New(testConfig()).AnalyzePath(b.Program, b.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.RunsUsed <= pa.RPub {
+		t.Fatalf("extension path not exercised: RunsUsed %d <= RPub %d", pa.RunsUsed, pa.RPub)
+	}
+	pub, full := pa.PubOnly.Sample, pa.Full.Sample
+	if len(pub) != pa.RPub || cap(pub) != pa.RPub || pa.PubOnly.Runs() != pa.RPub {
+		t.Fatalf("PubOnly sample len %d cap %d, estimate over %d runs; want %d",
+			len(pub), cap(pub), pa.PubOnly.Runs(), pa.RPub)
+	}
+	if &pub[0] != &full[0] {
+		t.Fatal("PubOnly keeps its own copy of the converged sample")
+	}
+	next := full[pa.RPub]
+	if grown := append(pub, -1); grown[pa.RPub] != -1 || full[pa.RPub] != next {
+		t.Fatal("appending to the PubOnly sample overwrote the extension")
+	}
+}
+
 func TestIIDWarningEventEmitted(t *testing.T) {
 	// At an absurdly strict significance level some battery p-value falls
 	// below alpha, so the analyzer must surface an inadmissibility warning

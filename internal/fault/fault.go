@@ -14,7 +14,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,13 +238,22 @@ func (inj *Injector) DecideAt(id uint64, n uint32) Decision {
 // FailStatus returns the synthetic HTTP status used for Fail decisions.
 func (inj *Injector) FailStatus() int { return inj.spec.FailStatus }
 
-// Schedule returns a copy of every recorded decision, in decision order.
-// Two runs of the same traffic under the same seed record permutations of
-// the same multiset; per identity the order is identical.
+// Schedule returns a copy of every recorded decision in canonical order:
+// sorted by identity, then by occurrence number. Concurrent callers record
+// decisions in whatever order their goroutines are scheduled, but each
+// decision is a pure function of (seed, ID, N), so two runs of the same
+// traffic under the same seed return equal schedules, element by element.
 func (inj *Injector) Schedule() []Event {
 	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return append([]Event(nil), inj.log...)
+	out := append([]Event(nil), inj.log...)
+	inj.mu.Unlock()
+	slices.SortFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.N, b.N)
+	})
+	return out
 }
 
 // Counts returns how many decisions of each kind were recorded — the

@@ -1,50 +1,60 @@
 package proc
 
 import (
+	"math/bits"
+
 	"pubtac/internal/cache"
 	"pubtac/internal/rng"
 	"pubtac/internal/trace"
 )
 
 // This file implements the batched campaign replay: BatchK run seeds share
-// every pass over the compiled ID stream, with struct-of-arrays set state.
+// every pass over a cache's compiled ID stream, and each seed replays only
+// the accesses that can behave differently from a cold-miss-then-hit
+// pattern.
 //
-// A campaign replays one immutable CompiledTrace 10^5-10^6 times, and after
-// the per-seed compiled path the stream decode itself (token load, cache
-// select, loop control) dominates: it is paid once per seed even though the
-// stream never changes. The batch path replays BatchK seeds per pass, so
-// the decode is amortized across the block, and the per-seed state the
-// inner loop touches — set bases, set contents, replacement and jitter
-// generators, hit/miss counters — is laid out per seed so the K-wide inner
-// loop is straight-line over dense arrays.
+// A campaign replays one immutable CompiledTrace 10^5-10^6 times. For a
+// block of BatchK seeds, the placement of every distinct line is evaluated
+// in one flat loop (the same pin, modulo and keyed-hash logic as
+// cache.SetOf, with the pin and policy hoisted out), which also counts how
+// many distinct lines each seed places into each set. A line is hot for a
+// seed when its set holds more than Ways distinct lines. The rest of the
+// run is then answered per set:
 //
-// Two further consequences of batching:
+//   - Sets are independent: an access reads and writes only its own set.
+//   - A set that never overflows never evicts, so each of its lines misses
+//     exactly once, on its first access, and hits afterwards. Its lines are
+//     answered analytically.
+//   - Replacement draws come from each cache's own generator, and only on
+//     misses to full sets. Those happen only in overflowing sets, so
+//     replaying the hot lines in stream order draws the same values in the
+//     same order as a whole-stream replay.
+//   - LRU compares ticks only within a set, so the position in the cache's
+//     stream serves as the tick.
+//   - Miss jitter is one stream per run, and its contribution is the sum of
+//     its first M draws, M being the run's total miss count. It is drawn
+//     after counting.
 //
-//   - Placement is evaluated in one flat loop: for every distinct line, the
-//     per-seed placement hashes (the same pin, modulo and keyed-hash logic
-//     as cache.SetOf, with the pin and policy hoisted out) are computed for
-//     all BatchK seeds back to back.
-//   - While computing placements, the block tracks per-seed set occupancy.
-//     A seed whose placement maps at most Ways distinct lines into every
-//     set can never evict, so its run is fully determined without touching
-//     the stream: every line's first access misses, everything else hits.
-//     Such seeds are answered analytically (drawing the same number of
-//     jitter values the replay would); only conflicted seeds replay the
-//     stream. Under parametric random placement with working sets well
-//     below capacity — the paper's platform on the evaluation benchmarks —
-//     most runs take the analytic path.
+// One replay loop per cache scans that cache's stream once per block,
+// skips tokens whose line is hot for no seed, and replays each remaining
+// token for every seed it is hot for. A cache with no hot line in the block
+// is not scanned at all. Under parametric random placement with working
+// sets below capacity — the paper's platform on the evaluation benchmarks —
+// most seeds have no hot line, and the seeds that do have few.
 //
-// Every decision a replayed seed makes draws from the same generators in
-// the same order as a per-seed Run with that seed, so batch campaigns are
-// bit-identical to per-seed campaigns; batch_test.go enforces this against
-// both the per-seed compiled path and the uncompiled reference engine.
+// A batch run is bit-identical to a per-seed Run with the same seed;
+// batch_test.go enforces this against both the per-seed compiled path and
+// the uncompiled reference engine.
 
-// BatchK is the number of campaign seeds replayed per pass over the
-// compiled stream. Callers that split campaigns into blocks (package mbpta)
-// keep block sizes in multiples of BatchK so whole blocks stay on the
-// batched path. 8 seeds keep the per-block set state (BatchK copies of both
-// caches' contents) inside L1 alongside the stream.
+// BatchK is the number of campaign seeds placed and replayed per pass.
+// Callers that split campaigns into blocks (package mbpta) keep block sizes
+// in multiples of BatchK so whole blocks stay on the batched path. 8 seeds
+// keep the per-block set state (BatchK copies of both caches' contents)
+// inside L1 alongside the stream, and let one byte hold a line's hot mask.
 const BatchK = 8
+
+// A line's hot mask has one bit per seed of the block.
+const _ uint8 = 1<<BatchK - 1
 
 // batchSide is the struct-of-arrays replay state of one cache for a block
 // of BatchK seeds. Slices indexed by [id*BatchK+k] hold per-line, per-seed
@@ -52,32 +62,32 @@ const BatchK = 8
 type batchSide struct {
 	keys    [BatchK]uint64         // per-seed placement hash keys
 	rands   [BatchK]rng.Xoshiro256 // per-seed replacement streams
-	hits    [BatchK]uint64
-	misses  [BatchK]uint64
-	setBase []int32  // [id*BatchK+k] -> k*sets*ways + set*ways
-	content []int32  // BatchK blocks of sets*ways line IDs
-	lruTick []uint64 // BatchK blocks of per-way ticks (LRU only)
-	occ     []uint16 // [k*sets+set] distinct-line occupancy scratch
+	cold    [BatchK]uint64         // per-seed lines that are not hot: one miss each
+	hits    [BatchK]uint64         // per-seed replayed hits
+	misses  [BatchK]uint64         // per-seed replayed misses
+	setBase []int32                // [id*BatchK+k] -> k*sets*ways + set*ways
+	hot     []uint8                // [id] -> bit k set when line id is hot for seed k
+	occ     []int32                // [set base] distinct lines placed in that set
+	content []int32                // BatchK blocks of sets*ways line IDs
+	lruTick []uint64               // BatchK blocks of per-way ticks (LRU only)
 }
 
 // batchState is an engine's batched-campaign scratch, reused across blocks.
 type batchState struct {
 	il, dl batchSide
-	jgens  [BatchK]rng.Xoshiro256 // per-seed miss-jitter streams
-	jsum   [BatchK]uint64         // per-seed accumulated jitter cycles
+	jitter rng.Xoshiro256 // miss-jitter stream, reseeded per run
 	seeds  [BatchK]uint64
-	active [BatchK]int32 // seeds that need a stream replay this block
 }
 
 // CampaignBatchInto is CampaignInto on the batched replay path: it fills
-// dst with runs offset.. of the campaign rooted at root, replaying BatchK
-// seeds per pass over the compiled stream and answering conflict-free seeds
-// analytically. Results are bit-identical to a loop of per-seed Runs. The
-// trailing len(dst)%BatchK runs go through the per-seed path; when the
-// length divides evenly, the last run's per-seed replay is deferred instead
-// (restoreCt/restoreSeed) and executed by materialize only if an accessor
-// actually observes the engine's post-campaign cache state — campaign
-// drivers never do, so back-to-back blocks pay nothing for state fidelity.
+// dst with runs offset.. of the campaign rooted at root, placing BatchK
+// seeds per pass and replaying only their hot lines. Results are
+// bit-identical to a loop of per-seed Runs. The trailing len(dst)%BatchK
+// runs go through the per-seed path; when the length divides evenly, the
+// last run's per-seed replay is deferred instead (restoreCt/restoreSeed)
+// and executed by materialize only if an accessor actually observes the
+// engine's post-campaign cache state — campaign drivers never do, so
+// back-to-back blocks pay nothing for state fidelity.
 //
 //pubtac:fastpath campaign
 func (e *Engine) CampaignBatchInto(tr trace.Trace, dst []float64, root uint64, offset int) {
@@ -109,308 +119,171 @@ func (e *Engine) runBatchBlock(ct *CompiledTrace, dst []float64, root uint64, of
 	for k := range b.seeds {
 		b.seeds[k] = rng.Stream(root, offset+k)
 	}
-	conflict := b.il.placeBlock(&ct.il1, e.il1, &b.seeds, ilSeedSalt) |
-		b.dl.placeBlock(&ct.dl1, e.dl1, &b.seeds, dlSeedSalt)
-
-	jitter := e.model.Lat.MissJitter
-	n := len(ct.stream)
-	cold := len(ct.il1.lines) + len(ct.dl1.lines)
-	clean := e.cyclesFor(n, uint64(n-cold), uint64(cold), 0)
-
-	if jitter > 0 {
-		for k := 0; k < BatchK; k++ {
-			b.jgens[k].Reseed(rng.Mix64(b.seeds[k] ^ jitterSeedSalt))
-			b.jsum[k] = 0
+	b.il.run(&ct.il1, e.il1, &b.seeds, ilSeedSalt)
+	b.dl.run(&ct.dl1, e.dl1, &b.seeds, dlSeedSalt)
+	n := ct.Len()
+	for k, seed := range b.seeds {
+		misses := b.il.cold[k] + b.il.misses[k] + b.dl.cold[k] + b.dl.misses[k]
+		if e.model.Lat.MissJitter > 0 {
+			b.jitter.Reseed(rng.Mix64(seed ^ jitterSeedSalt))
 		}
-	}
-
-	active := b.active[:0]
-	for k := 0; k < BatchK; k++ {
-		switch {
-		case conflict&(1<<k) != 0:
-			active = append(active, int32(k))
-		case jitter > 0:
-			// A conflict-free run misses exactly on each line's first
-			// access, so it draws exactly cold jitter values; their sum is
-			// order-independent across the two caches' interleaving.
-			g := &b.jgens[k]
-			var js uint64
-			for i := 0; i < cold; i++ {
-				js += g.Uint64() % jitter
-			}
-			dst[k] = float64(clean + js)
-		default:
-			dst[k] = float64(clean)
-		}
-	}
-	if len(active) == 0 {
-		return
-	}
-
-	b.il.prepareReplay(&ct.il1, &b.seeds, active, ilSeedSalt)
-	b.dl.prepareReplay(&ct.dl1, &b.seeds, active, dlSeedSalt)
-
-	ilCfg, dlCfg := e.model.IL1, e.model.DL1
-	if ilCfg.Ways == 2 && dlCfg.Ways == 2 &&
-		ilCfg.Replacement == cache.RandomReplacement &&
-		dlCfg.Replacement == cache.RandomReplacement {
-		e.batchReplay2WayRandom(ct, active, jitter)
-	} else {
-		e.batchReplayGeneric(ct, active, jitter)
-	}
-	for _, k := range active {
-		dst[k] = float64(e.cyclesFor(n,
-			b.il.hits[k]+b.dl.hits[k], b.il.misses[k]+b.dl.misses[k], b.jsum[k]))
+		dst[k] = float64(e.runCycles(n, misses, &b.jitter))
 	}
 }
 
-// placeBlock sizes the side's scratch, computes every (line, seed) set base
-// — the same pin, modulo and keyed-hash logic as cache.SetOf, with pin and
-// policy hoisted out of the loop — and returns the bitmask of seeds whose
-// placement overflows some set's associativity (those must replay; the rest
-// cannot evict).
-func (bs *batchSide) placeBlock(side *compiledSide, c *cache.Cache,
-	seeds *[BatchK]uint64, salt uint64) uint32 {
+// run places the block's seeds on this cache and replays the accesses to
+// their hot lines, leaving each seed's analytic cold misses in cold and its
+// replayed hits and misses in hits and misses.
+func (bs *batchSide) run(side *compiledSide, c *cache.Cache, seeds *[BatchK]uint64, salt uint64) {
+	bs.hits, bs.misses = [BatchK]uint64{}, [BatchK]uint64{}
+	hotSeeds := bs.place(side, c, seeds, salt)
+	if hotSeeds == 0 {
+		return
+	}
+	for k := range BatchK {
+		if hotSeeds&(1<<k) != 0 {
+			bs.rands[k].Reseed(cache.ReplacementSeed(rng.Mix64(seeds[k] ^ salt)))
+		}
+	}
+	// Invalidate only the hot sets: the replay touches no other set.
+	// lruTick needs no reset, as in the per-seed path: LRU victims are only
+	// chosen among ways filled this run.
+	ways := int32(side.ways)
+	for id, m := range bs.hot {
+		for ; m != 0; m &= m - 1 {
+			base := bs.setBase[id*BatchK+bits.TrailingZeros8(m)]
+			for w := range ways {
+				bs.content[base+w] = invalidID
+			}
+		}
+	}
+	cfg := c.Config()
+	if side.ways == 2 && cfg.Replacement == cache.RandomReplacement {
+		bs.replay2WayRandom(side.ids)
+	} else {
+		bs.replayGeneric(side.ids, ways, cfg.Replacement == cache.LRUReplacement)
+	}
+}
+
+// place sizes the side's scratch, computes every (line, seed) set base and
+// each seed's per-set occupancy, and from it the hot masks and cold counts.
+// It returns the seeds that have at least one hot line.
+func (bs *batchSide) place(side *compiledSide, c *cache.Cache,
+	seeds *[BatchK]uint64, salt uint64) uint8 {
 
 	nl := len(side.lines)
 	nways := side.sets * side.ways
 	if cap(bs.setBase) < nl*BatchK {
 		bs.setBase = make([]int32, nl*BatchK)
+		bs.hot = make([]uint8, nl)
 	}
 	bs.setBase = bs.setBase[:nl*BatchK]
+	bs.hot = bs.hot[:nl]
 	if cap(bs.content) < nways*BatchK {
 		bs.content = make([]int32, nways*BatchK)
 		bs.lruTick = make([]uint64, nways*BatchK)
-		bs.occ = make([]uint16, side.sets*BatchK)
+		bs.occ = make([]int32, nways*BatchK) // all zero between calls
 	}
 	bs.content = bs.content[:nways*BatchK]
 	bs.lruTick = bs.lruTick[:nways*BatchK]
-	bs.occ = bs.occ[:side.sets*BatchK]
+	bs.occ = bs.occ[:nways*BatchK]
 
 	random := c.Config().Placement == cache.RandomPlacement
 	if random {
-		for k := 0; k < BatchK; k++ {
+		for k := range BatchK {
 			bs.keys[k] = cache.PlacementKey(rng.Mix64(seeds[k] ^ salt))
 		}
 	}
-
-	// More distinct lines than ways fit: the pigeonhole principle makes
-	// every seed conflicted, so skip the occupancy bookkeeping.
-	trackOcc := nl <= nways
-	if trackOcc {
-		for i := range bs.occ {
-			bs.occ[i] = 0
-		}
-	}
-
 	pin := c.Pin()
 	mask := uint64(side.sets - 1)
 	ways := int32(side.ways)
 	block := int32(nways)
-	maxOcc := uint16(side.ways)
-	var conflict uint32
-	if !trackOcc {
-		conflict = (1 << BatchK) - 1
-	}
+	var over uint8 // seeds with an overflowing set
 	for id, line := range side.lines {
-		row := id * BatchK
-		if pin != nil && pin.Lines[line] {
-			base := int32(pin.Set) * ways
-			for k := int32(0); k < BatchK; k++ {
-				bs.setBase[row+int(k)] = k*block + base
-			}
-			if trackOcc {
-				for k := 0; k < BatchK; k++ {
-					o := k*side.sets + pin.Set
-					if bs.occ[o]++; bs.occ[o] > maxOcc {
-						conflict |= 1 << k
-					}
+		row := bs.setBase[id*BatchK : (id+1)*BatchK]
+		shared := int32(-1) // the set of every seed, when placement ignores the seed
+		switch {
+		case pin != nil && pin.Lines[line]:
+			shared = int32(pin.Set)
+		case !random:
+			shared = int32(line & mask)
+		}
+		if shared >= 0 {
+			for k := range row {
+				base := int32(k)*block + shared*ways
+				row[k] = base
+				if bs.occ[base]++; bs.occ[base] > ways {
+					over |= 1 << k
 				}
 			}
 			continue
 		}
-		if !random {
-			set := int32(line & mask)
-			for k := int32(0); k < BatchK; k++ {
-				bs.setBase[row+int(k)] = k*block + set*ways
-			}
-			if trackOcc {
-				for k := 0; k < BatchK; k++ {
-					o := k*side.sets + int(set)
-					if bs.occ[o]++; bs.occ[o] > maxOcc {
-						conflict |= 1 << k
-					}
-				}
-			}
-			continue
-		}
-		for k := 0; k < BatchK; k++ {
-			set := int(rng.Mix64(line^bs.keys[k]) & mask)
-			bs.setBase[row+k] = int32(k)*block + int32(set)*ways
-			if trackOcc {
-				o := k*side.sets + set
-				if bs.occ[o]++; bs.occ[o] > maxOcc {
-					conflict |= 1 << k
-				}
+		for k := range row {
+			base := int32(k)*block + int32(rng.Mix64(line^bs.keys[k])&mask)*ways
+			row[k] = base
+			if bs.occ[base]++; bs.occ[base] > ways {
+				over |= 1 << k
 			}
 		}
 	}
-	return conflict
-}
 
-// prepareReplay readies the side's state for the seeds that must replay:
-// replacement streams reseeded, counters cleared, and each active seed's
-// reachable sets invalidated (the replay touches no set outside its
-// setBase, mirroring sideState.prepare's sparse invalidation). lruTick
-// needs no reset for the same reason as in the per-seed path: LRU victims
-// are only chosen among ways filled this run.
-func (bs *batchSide) prepareReplay(side *compiledSide, seeds *[BatchK]uint64,
-	active []int32, salt uint64) {
-
-	nl := len(side.lines)
-	nways := side.sets * side.ways
-	ways := int32(side.ways)
-	sparse := nl*side.ways < nways
-	for _, k := range active {
-		bs.rands[k].Reseed(cache.ReplacementSeed(rng.Mix64(seeds[k] ^ salt)))
-		bs.hits[k], bs.misses[k] = 0, 0
-		if sparse {
-			for id := 0; id < nl; id++ {
-				base := bs.setBase[id*BatchK+int(k)]
-				for w := int32(0); w < ways; w++ {
-					bs.content[base+w] = invalidID
-				}
-			}
-		} else {
-			blk := bs.content[int(k)*nways : (int(k)+1)*nways]
-			for i := range blk {
-				blk[i] = invalidID
-			}
-		}
+	for k := range bs.cold {
+		bs.cold[k] = uint64(nl)
 	}
-}
-
-// batchReplay2WayRandom is the batched form of replay2WayRandom (both
-// caches 2-way with random replacement, the paper's platform): per token,
-// the two-compare access runs for every active seed against that seed's
-// state block before the next token is decoded.
-func (e *Engine) batchReplay2WayRandom(ct *CompiledTrace, active []int32, jitter uint64) {
-	b := e.batch
-	il, dl := &b.il, &b.dl
-	ilSet, ilC := il.setBase, il.content
-	dlSet, dlC := dl.setBase, dl.content
-	for _, tok := range ct.stream {
-		if tok&dataBit == 0 {
-			id := int32(tok)
-			row := int(tok) * BatchK
-			for _, k := range active {
-				base := ilSet[row+int(k)]
-				if ilC[base] == id || ilC[base+1] == id {
-					il.hits[k]++
-					continue
-				}
-				il.misses[k]++
-				switch {
-				case ilC[base] == invalidID:
-					ilC[base] = id
-				case ilC[base+1] == invalidID:
-					ilC[base+1] = id
-				default:
-					ilC[base+int32(il.rands[k].Intn(2))] = id
-				}
-				if jitter > 0 {
-					b.jsum[k] += b.jgens[k].Uint64() % jitter
-				}
-			}
-		} else {
-			id := int32(tok &^ dataBit)
-			row := int(id) * BatchK
-			for _, k := range active {
-				base := dlSet[row+int(k)]
-				if dlC[base] == id || dlC[base+1] == id {
-					dl.hits[k]++
-					continue
-				}
-				dl.misses[k]++
-				switch {
-				case dlC[base] == invalidID:
-					dlC[base] = id
-				case dlC[base+1] == invalidID:
-					dlC[base+1] = id
-				default:
-					dlC[base+int32(dl.rands[k].Intn(2))] = id
-				}
-				if jitter > 0 {
-					b.jsum[k] += b.jgens[k].Uint64() % jitter
-				}
-			}
-		}
-	}
-}
-
-// batchReplayGeneric is the batched form of replayGeneric: full reference
-// semantics (any associativity, random or LRU replacement) for every active
-// seed. The per-cache access tick is shared — it counts stream positions,
-// which are identical across seeds.
-func (e *Engine) batchReplayGeneric(ct *CompiledTrace, active []int32, jitter uint64) {
-	b := e.batch
-	ilCfg, dlCfg := e.model.IL1, e.model.DL1
-	ilLRU := ilCfg.Replacement == cache.LRUReplacement
-	dlLRU := dlCfg.Replacement == cache.LRUReplacement
-	var ilTick, dlTick uint64
-	for _, tok := range ct.stream {
-		if tok&dataBit == 0 {
-			ilTick++
-			id := int32(tok)
-			for _, k := range active {
-				if !b.il.accessBatch(k, id, ilCfg.Ways, ilLRU, ilTick) && jitter > 0 {
-					b.jsum[k] += b.jgens[k].Uint64() % jitter
-				}
-			}
-		} else {
-			dlTick++
-			id := int32(tok &^ dataBit)
-			for _, k := range active {
-				if !b.dl.accessBatch(k, id, dlCfg.Ways, dlLRU, dlTick) && jitter > 0 {
-					b.jsum[k] += b.jgens[k].Uint64() % jitter
-				}
-			}
-		}
-	}
-}
-
-// accessBatch replays one access for seed k with full reference semantics,
-// mirroring sideState.access against the seed's state block.
-func (bs *batchSide) accessBatch(k int32, id int32, ways int, lru bool, tick uint64) bool {
-	base := bs.setBase[int(id)*BatchK+int(k)]
-	for w := int32(0); w < int32(ways); w++ {
-		if bs.content[base+w] == id {
-			bs.hits[k]++
-			bs.lruTick[base+w] = tick
-			return true
-		}
-	}
-	bs.misses[k]++
-	for w := int32(0); w < int32(ways); w++ {
-		if bs.content[base+w] == invalidID {
-			bs.content[base+w] = id
-			bs.lruTick[base+w] = tick
-			return false
-		}
-	}
-	victim := int32(0)
-	if !lru {
-		victim = int32(bs.rands[k].Intn(ways))
+	if over == 0 {
+		clear(bs.hot)
 	} else {
-		oldest := bs.lruTick[base]
-		for w := int32(1); w < int32(ways); w++ {
-			if bs.lruTick[base+w] < oldest {
-				oldest = bs.lruTick[base+w]
-				victim = w
+		for id := range bs.hot {
+			row := bs.setBase[id*BatchK : (id+1)*BatchK]
+			var m uint8
+			for o := over; o != 0; o &= o - 1 {
+				k := bits.TrailingZeros8(o)
+				if bs.occ[row[k]] > ways {
+					m |= 1 << k
+					bs.cold[k]--
+				}
+			}
+			bs.hot[id] = m
+		}
+	}
+	// Leave occ all zero for the next block: clearing only the sets this
+	// block touched is cheaper than clearing every set of every seed.
+	for _, base := range bs.setBase {
+		bs.occ[base] = 0
+	}
+	return over
+}
+
+// replay2WayRandom replays the hot accesses of ids on 2-way sets under
+// random replacement, the paper's platform.
+func (bs *batchSide) replay2WayRandom(ids []int32) {
+	hot, setBase, c := bs.hot, bs.setBase, bs.content
+	for _, id := range ids {
+		for m := hot[id]; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros8(m)
+			if base := setBase[int(id)*BatchK+k]; c[base] == id || c[base+1] == id {
+				bs.hits[k]++
+			} else {
+				bs.misses[k]++
+				fill2WayRandom(c, base, id, &bs.rands[k])
 			}
 		}
 	}
-	bs.content[base+victim] = id
-	bs.lruTick[base+victim] = tick
-	return false
+}
+
+// replayGeneric replays the hot accesses of ids with full reference
+// semantics (any associativity, random or LRU replacement).
+func (bs *batchSide) replayGeneric(ids []int32, ways int32, lru bool) {
+	hot, setBase, c := bs.hot, bs.setBase, bs.content
+	for i, id := range ids {
+		for m := hot[id]; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros8(m)
+			if accessSet(c, bs.lruTick, setBase[int(id)*BatchK+k], id, ways, lru,
+				&bs.rands[k], uint64(i)) {
+				bs.hits[k]++
+			} else {
+				bs.misses[k]++
+			}
+		}
+	}
 }

@@ -118,6 +118,183 @@ func TestBatchCampaignPinned(t *testing.T) {
 	assertCampaignsMatch(t, "pin-jitter", mj, tr, pinOverflow)
 }
 
+// sidedTrace interleaves two access streams: instruction fetches over
+// ilLines distinct lines and data accesses over dlLines distinct lines. A
+// side with more distinct lines than its cache holds overflows some set
+// under every placement; a side with at most Ways lines never does.
+func sidedTrace(gen *rng.Xoshiro256, n, ilLines, dlLines int) trace.Trace {
+	tr := make(trace.Trace, n)
+	for i := range tr {
+		if gen.Intn(2) == 0 {
+			tr[i] = trace.Access{Kind: trace.Instr, Addr: uint64(gen.Intn(ilLines)) * 32}
+		} else {
+			tr[i] = trace.Access{Kind: trace.Data, Addr: 0x100000 + uint64(gen.Intn(dlLines))*32}
+		}
+	}
+	return tr
+}
+
+// blockHotSeeds runs the first batch block of a campaign over tr and
+// returns, per cache, the seeds that had at least one hot line.
+func blockHotSeeds(m Model, tr trace.Trace, setup func(e *Engine)) (il, dl uint8) {
+	e := NewEngine(m)
+	if setup != nil {
+		setup(e)
+	}
+	e.CampaignBatchInto(tr, make([]float64, BatchK), 0xBA7C4, 0)
+	for id := range e.batch.il.hot {
+		il |= e.batch.il.hot[id]
+	}
+	for id := range e.batch.dl.hot {
+		dl |= e.batch.dl.hot[id]
+	}
+	return il, dl
+}
+
+// TestBatchCampaignOneSideConflicts covers seeds that conflict in one
+// cache only, in the other only, and in both, with and without miss
+// jitter: a cache with no hot line in the block is skipped, and the other
+// cache's replay plus the analytic cold misses must still add up to the
+// per-seed run.
+func TestBatchCampaignOneSideConflicts(t *testing.T) {
+	gen := rng.New(0x51DE)
+	cases := []struct {
+		name         string
+		tr           trace.Trace
+		ilHot, dlHot bool
+	}{
+		{"il1-only", sidedTrace(gen, 600, 200, 2), true, false},
+		{"dl1-only", sidedTrace(gen, 600, 2, 200), false, true},
+		{"both", sidedTrace(gen, 600, 200, 200), true, true},
+	}
+	for _, c := range cases {
+		for _, jitter := range []uint64{0, 5} {
+			m := DefaultModel()
+			m.Lat.MissJitter = jitter
+			il, dl := blockHotSeeds(m, c.tr, nil)
+			if (il != 0) != c.ilHot || (dl != 0) != c.dlHot {
+				t.Fatalf("%s: hot seeds IL1 %08b, DL1 %08b; want IL1 hot %v, DL1 hot %v",
+					c.name, il, dl, c.ilHot, c.dlHot)
+			}
+			assertCampaignsMatch(t, c.name, m, c.tr, nil)
+		}
+	}
+}
+
+// TestBatchCampaignPinOverflowsOtherSide covers a pin that overflows one
+// cache for every seed while random placement overflows the other: DL1's
+// only lines are three pinned into one 2-way set, and IL1's 200 lines
+// exceed its 128 ways.
+func TestBatchCampaignPinOverflowsOtherSide(t *testing.T) {
+	gen := rng.New(0x9107)
+	tr := sidedTrace(gen, 600, 200, 3)
+	pin := func(e *Engine) {
+		lines := map[uint64]bool{}
+		for i := uint64(0); i < 3; i++ {
+			lines[(0x100000+i*32)>>5] = true
+		}
+		e.DL1().SetPin(&cache.Pin{Lines: lines, Set: 11})
+	}
+	for _, jitter := range []uint64{0, 3} {
+		m := DefaultModel()
+		m.Lat.MissJitter = jitter
+		if il, dl := blockHotSeeds(m, tr, pin); il != 0xFF || dl != 0xFF {
+			t.Fatalf("hot seeds IL1 %08b, DL1 %08b; want every seed hot in both", il, dl)
+		}
+		assertCampaignsMatch(t, "pin-dl1-random-il1", m, tr, pin)
+	}
+}
+
+// TestBatchCampaignLRUPartialOverflow covers 4-way LRU where a seed's
+// placement overflows some sets but not others, so its hot lines are
+// replayed with stream-position ticks beside analytically answered ones.
+func TestBatchCampaignLRUPartialOverflow(t *testing.T) {
+	gen := rng.New(0x14A7)
+	m := DefaultModel()
+	m.IL1.Ways, m.IL1.Sets = 4, 16
+	m.DL1.Ways, m.DL1.Sets = 4, 16
+	m.IL1.Replacement = cache.LRUReplacement
+	m.DL1.Replacement = cache.LRUReplacement
+	tr := sidedTrace(gen, 800, 40, 40)
+	e := NewEngine(m)
+	e.CampaignBatchInto(tr, make([]float64, BatchK), 0xBA7C4, 0)
+	for k := range BatchK {
+		if c := e.batch.dl.cold[k]; c == 0 || c == 40 {
+			t.Fatalf("seed %d: %d of 40 DL1 lines answered analytically; want a partial overflow", k, c)
+		}
+	}
+	assertCampaignsMatch(t, "4way-lru-partial", m, tr, nil)
+	m.Lat.MissJitter = 4
+	assertCampaignsMatch(t, "4way-lru-partial-jitter", m, tr, nil)
+}
+
+// TestBatchReplaysExactlyHotLines checks the projection itself: for every
+// seed of a campaign's last block (earlier blocks must leave no trace), the
+// lines the batch treats as hot are exactly the lines whose set — under
+// that seed's placement, as cache.SetOf computes it — holds more than Ways
+// distinct lines; the replay touches exactly the accesses to those lines;
+// and the analytic cold misses plus the replayed misses equal the per-seed
+// run's misses in each cache.
+func TestBatchReplaysExactlyHotLines(t *testing.T) {
+	gen := rng.New(0x4071)
+	tr := sidedTrace(gen, 900, 150, 90)
+	for _, m := range policyCombos() {
+		const root, offset, blocks = 0x407, 24, 3
+		e := NewEngine(m)
+		e.CampaignBatchInto(tr, make([]float64, blocks*BatchK), root, offset)
+		ct := e.compiledFor(tr)
+		for k := range BatchK {
+			seed := rng.Stream(root, offset+(blocks-1)*BatchK+k)
+			ref := NewEngine(m)
+			ref.Run(tr, seed)
+			wantIL, wantDL := ref.Misses()
+			for _, side := range []struct {
+				name  string
+				cs    *compiledSide
+				bs    *batchSide
+				c     *cache.Cache
+				total uint64
+			}{
+				{"IL1", &ct.il1, &e.batch.il, ref.IL1(), wantIL},
+				{"DL1", &ct.dl1, &e.batch.dl, ref.DL1(), wantDL},
+			} {
+				occ := map[int]int{}
+				for _, line := range side.cs.lines {
+					occ[side.c.SetOf(line)]++
+				}
+				hot := make([]bool, len(side.cs.lines))
+				var nhot int
+				for id, line := range side.cs.lines {
+					hot[id] = occ[side.c.SetOf(line)] > side.cs.ways
+					if hot[id] {
+						nhot++
+					}
+					if got := side.bs.hot[id]&(1<<k) != 0; got != hot[id] {
+						t.Fatalf("seed %d %s line %d: batch hot %v, placement says %v",
+							k, side.name, id, got, hot[id])
+					}
+				}
+				var replays uint64
+				for _, id := range side.cs.ids {
+					if hot[id] {
+						replays++
+					}
+				}
+				if got := side.bs.hits[k] + side.bs.misses[k]; got != replays {
+					t.Fatalf("seed %d %s: replayed %d accesses, want the %d accesses to %d hot lines",
+						k, side.name, got, replays, nhot)
+				}
+				if cold := uint64(len(side.cs.lines) - nhot); side.bs.cold[k] != cold {
+					t.Fatalf("seed %d %s: %d analytic lines, want %d", k, side.name, side.bs.cold[k], cold)
+				}
+				if got := side.bs.cold[k] + side.bs.misses[k]; got != side.total {
+					t.Fatalf("seed %d %s: %d misses, per-seed run %d", k, side.name, got, side.total)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchCampaignStateRestore verifies that after a batched campaign the
 // engine's observable cache state (miss counters, replay continuation) is
 // exactly that of a per-seed campaign's last run, for both exact-block and

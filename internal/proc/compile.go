@@ -24,10 +24,6 @@ import (
 // pinning, and Run-followed-by-Replay behave exactly as before. The golden
 // and equivalence tests in golden_test.go and compile_test.go enforce this.
 
-// dataBit marks a stream token as a DL1 access; the low bits are the dense
-// line ID within that cache.
-const dataBit = 1 << 31
-
 // invalidID is the sentinel stored in compiled set state for an empty way,
 // replacing the reference engine's separate valid[] array. Line IDs are
 // dense non-negative ints, so a single comparison covers both "occupied by
@@ -35,31 +31,48 @@ const dataBit = 1 << 31
 const invalidID = -1
 
 // CompiledTrace is a trace pre-projected onto the line geometry of a
-// platform model: per-cache distinct line addresses plus a stream of dense
-// line IDs. Compile once, replay many times; a CompiledTrace is immutable
-// and may be shared across engines and goroutines.
+// platform model: per cache, the distinct line addresses plus the stream of
+// dense line IDs of that cache's accesses. Compile once, replay many times;
+// a CompiledTrace is immutable and may be shared across engines and
+// goroutines.
+//
+// The two caches are independent (separate placement, contents and
+// replacement generators), and the timing model is additive, so a run's
+// cycles depend on the interleaving of IL1 and DL1 accesses only through
+// the miss-jitter stream — whose sum is the sum of its first misses draws
+// in any order. Keeping one stream per cache therefore loses nothing, and
+// lets each cache be replayed (or skipped) on its own.
 type CompiledTrace struct {
-	il1    compiledSide
-	dl1    compiledSide
-	stream []uint32
+	il1 compiledSide
+	dl1 compiledSide
 }
 
 // compiledSide is the per-cache projection: the distinct line addresses in
-// first-appearance order (the dense ID of a line is its index), plus the
-// geometry it was compiled against.
+// first-appearance order (the dense ID of a line is its index), the ID
+// stream of the cache's accesses in trace order, plus the geometry it was
+// compiled against.
 type compiledSide struct {
 	lines []uint64
+	ids   []int32
 	sets  int
 	ways  int
 	shift uint // byte-address-to-line shift the projection used
 }
 
-// Len returns the number of accesses in the compiled stream.
-func (ct *CompiledTrace) Len() int { return len(ct.stream) }
+// Len returns the number of accesses in the compiled trace.
+func (ct *CompiledTrace) Len() int { return len(ct.il1.ids) + len(ct.dl1.ids) }
 
 // DistinctLines returns the number of distinct IL1 and DL1 lines.
 func (ct *CompiledTrace) DistinctLines() (il1, dl1 int) {
 	return len(ct.il1.lines), len(ct.dl1.lines)
+}
+
+// side returns the projection of one cache side.
+func (ct *CompiledTrace) side(k trace.Kind) *compiledSide {
+	if k == trace.Instr {
+		return &ct.il1
+	}
+	return &ct.dl1
 }
 
 // SideLines returns the distinct line addresses of one cache side in
@@ -67,65 +80,38 @@ func (ct *CompiledTrace) DistinctLines() (il1, dl1 int) {
 // is the compilation's own and must be treated as read-only; package tac
 // builds its posting-list index on these IDs instead of re-projecting the
 // trace through a map of its own.
-func (ct *CompiledTrace) SideLines(k trace.Kind) []uint64 {
-	if k == trace.Instr {
-		return ct.il1.lines
-	}
-	return ct.dl1.lines
-}
+func (ct *CompiledTrace) SideLines(k trace.Kind) []uint64 { return ct.side(k).lines }
 
 // SideIDs appends the dense line IDs of one cache side, in stream order,
 // to dst and returns it — the side's line sequence in the ID space of
 // SideLines.
 func (ct *CompiledTrace) SideIDs(k trace.Kind, dst []int32) []int32 {
-	if k == trace.Instr {
-		for _, tok := range ct.stream {
-			if tok&dataBit == 0 {
-				dst = append(dst, int32(tok))
-			}
-		}
-		return dst
-	}
-	for _, tok := range ct.stream {
-		if tok&dataBit != 0 {
-			dst = append(dst, int32(tok&^dataBit))
-		}
-	}
-	return dst
+	return append(dst, ct.side(k).ids...)
 }
 
 // Compile projects tr onto the cache geometry of m. The result replays
 // bit-identically to the reference engine on any engine built for the same
 // model.
 func Compile(tr trace.Trace, m Model) *CompiledTrace {
-	ilShift, dlShift := m.IL1.LineShift(), m.DL1.LineShift()
 	ct := &CompiledTrace{
-		il1:    compiledSide{sets: m.IL1.Sets, ways: m.IL1.Ways, shift: ilShift},
-		dl1:    compiledSide{sets: m.DL1.Sets, ways: m.DL1.Ways, shift: dlShift},
-		stream: make([]uint32, len(tr)),
+		il1: compiledSide{sets: m.IL1.Sets, ways: m.IL1.Ways, shift: m.IL1.LineShift()},
+		dl1: compiledSide{sets: m.DL1.Sets, ways: m.DL1.Ways, shift: m.DL1.LineShift()},
 	}
-	ilIDs := make(map[uint64]uint32)
-	dlIDs := make(map[uint64]uint32)
-	for i, a := range tr {
+	ilIDs := make(map[uint64]int32)
+	dlIDs := make(map[uint64]int32)
+	for _, a := range tr {
+		side, ids := &ct.dl1, dlIDs
 		if a.Kind == trace.Instr {
-			line := a.Addr >> ilShift
-			id, ok := ilIDs[line]
-			if !ok {
-				id = uint32(len(ct.il1.lines))
-				ilIDs[line] = id
-				ct.il1.lines = append(ct.il1.lines, line)
-			}
-			ct.stream[i] = id
-		} else {
-			line := a.Addr >> dlShift
-			id, ok := dlIDs[line]
-			if !ok {
-				id = uint32(len(ct.dl1.lines))
-				dlIDs[line] = id
-				ct.dl1.lines = append(ct.dl1.lines, line)
-			}
-			ct.stream[i] = id | dataBit
+			side, ids = &ct.il1, ilIDs
 		}
+		line := a.Addr >> side.shift
+		id, ok := ids[line]
+		if !ok {
+			id = int32(len(side.lines))
+			ids[line] = id
+			side.lines = append(side.lines, line)
+		}
+		side.ids = append(side.ids, id)
 	}
 	return ct
 }
@@ -176,46 +162,85 @@ func (ss *sideState) prepare(side *compiledSide, c *cache.Cache) {
 			ss.content[i] = invalidID
 		}
 	}
-	ss.hits, ss.misses = 0, 0
 	// lruTick needs no reset: LRU victims are only ever chosen among ways
 	// filled this run, whose ticks were all written this run (the reference
 	// engine relies on the same property across its Flush).
 }
 
-// access replays one access with the full reference semantics (any
-// associativity, random or LRU replacement). tick is the per-cache access
-// counter, already incremented for this access.
-func (ss *sideState) access(id int32, ways int, lru bool, rnd *rng.Xoshiro256, tick uint64) bool {
-	base := ss.setBase[id]
-	for w := int32(0); w < int32(ways); w++ {
-		if ss.content[base+w] == id {
-			ss.hits++
-			ss.lruTick[base+w] = tick
+// replay replays the side's ID stream against the prepared state, drawing
+// replacement victims from the cache's own generator, and records the
+// run's hits and misses. The per-cache access tick of LRU replacement is
+// the position in the side's stream, as in the reference engine.
+func (ss *sideState) replay(side *compiledSide, cc *cache.Cache) {
+	cfg, rnd := cc.Config(), cc.Rand()
+	set, c := ss.setBase, ss.content
+	var misses uint64
+	if side.ways == 2 && cfg.Replacement == cache.RandomReplacement {
+		for _, id := range side.ids {
+			if base := set[id]; c[base] != id && c[base+1] != id {
+				misses++
+				fill2WayRandom(c, base, id, rnd)
+			}
+		}
+	} else {
+		ways, lru := int32(side.ways), cfg.Replacement == cache.LRUReplacement
+		for i, id := range side.ids {
+			if !accessSet(c, ss.lruTick, set[id], id, ways, lru, rnd, uint64(i)+1) {
+				misses++
+			}
+		}
+	}
+	ss.hits, ss.misses = uint64(len(side.ids))-misses, misses
+}
+
+// fill2WayRandom installs id in the 2-way set at base after a miss under
+// random replacement — the paper's platform: in an empty way if there is
+// one, otherwise over a random victim. The hit test it pairs with is two
+// compares, written out in the replay loops so it inlines there; random
+// replacement never reads the LRU ticks, so nothing else is kept.
+func fill2WayRandom(c []int32, base, id int32, rnd *rng.Xoshiro256) {
+	switch {
+	case c[base] == invalidID:
+		c[base] = id
+	case c[base+1] == invalidID:
+		c[base+1] = id
+	default:
+		c[base+int32(rnd.Intn(2))] = id
+	}
+}
+
+// accessSet replays one access to the set at base with the full reference
+// semantics (any associativity, random or LRU replacement) and reports
+// whether it hit. tick orders the cache's accesses for LRU.
+func accessSet(c []int32, lruTick []uint64, base, id, ways int32, lru bool,
+	rnd *rng.Xoshiro256, tick uint64) bool {
+	for w := int32(0); w < ways; w++ {
+		if c[base+w] == id {
+			lruTick[base+w] = tick
 			return true
 		}
 	}
-	ss.misses++
-	for w := int32(0); w < int32(ways); w++ {
-		if ss.content[base+w] == invalidID {
-			ss.content[base+w] = id
-			ss.lruTick[base+w] = tick
+	for w := int32(0); w < ways; w++ {
+		if c[base+w] == invalidID {
+			c[base+w] = id
+			lruTick[base+w] = tick
 			return false
 		}
 	}
 	victim := int32(0)
 	if !lru {
-		victim = int32(rnd.Intn(ways))
+		victim = int32(rnd.Intn(int(ways)))
 	} else {
-		oldest := ss.lruTick[base]
-		for w := int32(1); w < int32(ways); w++ {
-			if ss.lruTick[base+w] < oldest {
-				oldest = ss.lruTick[base+w]
+		oldest := lruTick[base]
+		for w := int32(1); w < ways; w++ {
+			if lruTick[base+w] < oldest {
+				oldest = lruTick[base+w]
 				victim = w
 			}
 		}
 	}
-	ss.content[base+victim] = id
-	ss.lruTick[base+victim] = tick
+	c[base+victim] = id
+	lruTick[base+victim] = tick
 	return false
 }
 
@@ -315,109 +340,26 @@ func (e *Engine) materialize() {
 func (e *Engine) replayCompiled(ct *CompiledTrace) uint64 {
 	e.ils.prepare(&ct.il1, e.il1)
 	e.dls.prepare(&ct.dl1, e.dl1)
-
-	ilCfg, dlCfg := e.il1.Config(), e.dl1.Config()
-	var cycles uint64
-	if ilCfg.Ways == 2 && dlCfg.Ways == 2 &&
-		ilCfg.Replacement == cache.RandomReplacement &&
-		dlCfg.Replacement == cache.RandomReplacement {
-		cycles = e.replay2WayRandom(ct)
-	} else {
-		cycles = e.replayGeneric(ct)
-	}
-
+	e.ils.replay(&ct.il1, e.il1)
+	e.dls.replay(&ct.dl1, e.dl1)
 	e.pending = ct
-	return cycles
+	return e.runCycles(ct.Len(), e.ils.misses+e.dls.misses, e.jitter)
 }
 
-// cyclesFor converts classification counts into the additive timing model:
-// the in-order pipeline's cost is linear in hits and misses, so the replay
-// loops only classify accesses and the arithmetic happens once per run.
-// jitterCycles carries the per-miss randomized jitter accumulated in replay
-// order (zero when MissJitter is off).
-func (e *Engine) cyclesFor(n int, hits, misses, jitterCycles uint64) uint64 {
+// runCycles converts a run's classification into the additive timing
+// model: the in-order pipeline's cost is linear in hits and misses, so the
+// replay loops only classify accesses and the arithmetic happens once per
+// run. With MissJitter on, every miss adds one draw from jit, the run's
+// miss-jitter stream. The reference engine draws them as the misses occur,
+// but a sum of the first misses draws does not depend on which miss took
+// which draw, so they are drawn here, after counting.
+func (e *Engine) runCycles(n int, misses uint64, jit *rng.Xoshiro256) uint64 {
 	lat := e.model.Lat
-	return lat.Issue*uint64(n) + lat.Hit*hits + lat.Miss*misses + jitterCycles
-}
-
-// replay2WayRandom is the specialized loop for the paper's platform — both
-// caches 2-way with random replacement. With the set base precomputed per
-// line, an access is two compares against the set's ways; LRU bookkeeping
-// is skipped entirely (random replacement never reads it), and all state
-// lives in locals so the loop compiles to straight register code.
-func (e *Engine) replay2WayRandom(ct *CompiledTrace) uint64 {
-	jitter := e.model.Lat.MissJitter
-	ilSet, ilC := e.ils.setBase, e.ils.content
-	dlSet, dlC := e.dls.setBase, e.dls.content
-	ilRand, dlRand := e.il1.Rand(), e.dl1.Rand()
-	var ilHits, ilMisses, dlHits, dlMisses, jcycles uint64
-	for _, tok := range ct.stream {
-		if tok&dataBit == 0 {
-			id := int32(tok)
-			base := ilSet[id]
-			if ilC[base] == id || ilC[base+1] == id {
-				ilHits++
-				continue
-			}
-			ilMisses++
-			switch {
-			case ilC[base] == invalidID:
-				ilC[base] = id
-			case ilC[base+1] == invalidID:
-				ilC[base+1] = id
-			default:
-				ilC[base+int32(ilRand.Intn(2))] = id
-			}
-		} else {
-			id := int32(tok &^ dataBit)
-			base := dlSet[id]
-			if dlC[base] == id || dlC[base+1] == id {
-				dlHits++
-				continue
-			}
-			dlMisses++
-			switch {
-			case dlC[base] == invalidID:
-				dlC[base] = id
-			case dlC[base+1] == invalidID:
-				dlC[base+1] = id
-			default:
-				dlC[base+int32(dlRand.Intn(2))] = id
-			}
-		}
-		// Only reached on a miss (hits continue above).
-		if jitter > 0 {
-			jcycles += e.jitter.Uint64() % jitter
+	cycles := lat.Issue*uint64(n) + lat.Hit*(uint64(n)-misses) + lat.Miss*misses
+	if lat.MissJitter > 0 {
+		for range misses {
+			cycles += jit.Uint64() % lat.MissJitter
 		}
 	}
-	e.ils.hits, e.ils.misses = ilHits, ilMisses
-	e.dls.hits, e.dls.misses = dlHits, dlMisses
-	return e.cyclesFor(len(ct.stream), ilHits+dlHits, ilMisses+dlMisses, jcycles)
-}
-
-// replayGeneric handles every policy combination (modulo placement, LRU
-// replacement, other associativities) with full reference semantics.
-func (e *Engine) replayGeneric(ct *CompiledTrace) uint64 {
-	jitter := e.model.Lat.MissJitter
-	ilCfg, dlCfg := e.il1.Config(), e.dl1.Config()
-	ilLRU := ilCfg.Replacement == cache.LRUReplacement
-	dlLRU := dlCfg.Replacement == cache.LRUReplacement
-	ilRand, dlRand := e.il1.Rand(), e.dl1.Rand()
-	var ilTick, dlTick, jcycles uint64
-	for _, tok := range ct.stream {
-		var hit bool
-		if tok&dataBit == 0 {
-			ilTick++
-			hit = e.ils.access(int32(tok), ilCfg.Ways, ilLRU, ilRand, ilTick)
-		} else {
-			dlTick++
-			hit = e.dls.access(int32(tok&^dataBit), dlCfg.Ways, dlLRU, dlRand, dlTick)
-		}
-		if !hit && jitter > 0 {
-			jcycles += e.jitter.Uint64() % jitter
-		}
-	}
-	hits := e.ils.hits + e.dls.hits
-	misses := e.ils.misses + e.dls.misses
-	return e.cyclesFor(len(ct.stream), hits, misses, jcycles)
+	return cycles
 }

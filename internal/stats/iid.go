@@ -31,7 +31,7 @@ const iidMaxLags = 20
 //
 //pubtac:fastpath iid
 type IIDState struct {
-	series []float64 // the run-ordered sample, appended on Push (nil in streaming mode)
+	series []float64 // the run-ordered sample (nil in streaming mode); read only, see pushSeries
 	n      int       // total runs pushed
 
 	// Streaming mode (NewStreamingIID): no retained series. The runs test
@@ -100,6 +100,35 @@ func (s *IIDState) Push(block []float64) {
 	if len(block) == 0 {
 		return
 	}
+	if !s.stream {
+		s.pushSeries(append(s.series, block...))
+		return
+	}
+	s.pushMoments(block)
+	s.pushStream(block)
+}
+
+// pushSeries advances a full-mode battery to series: the run-ordered
+// sample, whose first N() runs are the ones already pushed. The battery
+// keeps series and only reads it, so a FullSummary hands over its own
+// sample instead of the battery appending a second copy. The owner may
+// grow the sample by appending, but must not modify the runs in it.
+func (s *IIDState) pushSeries(series []float64) {
+	block := series[s.n:]
+	if len(block) == 0 {
+		return
+	}
+	s.pushMoments(block)
+	s.series = series
+	if h := s.n / 2; h > s.half {
+		s.firstSorted = MergeSorted(s.firstSorted, SortedCopy(s.series[s.half:h]))
+		s.half = h
+	}
+}
+
+// pushMoments folds a block into the Ljung-Box accumulators and the run
+// count.
+func (s *IIDState) pushMoments(block []float64) {
 	if s.n == 0 {
 		s.shift = block[0]
 	}
@@ -122,15 +151,6 @@ func (s *IIDState) Push(block []float64) {
 		s.sumSq += y * y
 	}
 	s.n += len(block)
-	if s.stream {
-		s.pushStream(block)
-		return
-	}
-	s.series = append(s.series, block...)
-	if h := s.n / 2; h > s.half {
-		s.firstSorted = MergeSorted(s.firstSorted, SortedCopy(s.series[s.half:h]))
-		s.half = h
-	}
 }
 
 // pushStream is the streaming-mode tail of Push: first-runs retention and
@@ -516,6 +536,15 @@ func (s *IIDState) capFirst(fcap int) {
 
 // Bytes returns the battery's retained memory in bytes (accounting for the
 // streaming memory model; transient merge buffers excluded).
-func (s *IIDState) Bytes() int {
-	return (len(s.series)+len(s.firstRuns)+len(s.firstSorted)+len(s.head)+len(s.window))*8 + 256
+func (s *IIDState) Bytes() int { return s.bytesBeside(nil) }
+
+// bytesBeside is Bytes for a battery beside the run-ordered sample of its
+// owner: a series that is that very sample is the owner's memory, and is
+// not counted twice.
+func (s *IIDState) bytesBeside(sample []float64) int {
+	n := len(s.firstRuns) + len(s.firstSorted) + len(s.head) + len(s.window)
+	if len(s.series) != len(sample) || len(sample) == 0 || &s.series[0] != &sample[0] {
+		n += len(s.series)
+	}
+	return n*8 + 256
 }

@@ -107,7 +107,7 @@ func (s *FullSummary) Push(block []float64) {
 	}
 	s.sample = append(s.sample, block...)
 	if s.iid != nil {
-		s.iid.Push(block)
+		s.iid.pushSeries(s.sample)
 	}
 	s.sorted = MergeSorted(s.sorted, SortedCopy(block))
 	if b := s.Bytes(); b > s.peak {
@@ -125,7 +125,7 @@ func (s *FullSummary) Merge(other SampleSummary) error {
 	}
 	s.sample = append(s.sample, o.sample...)
 	if s.iid != nil {
-		s.iid.Push(o.sample)
+		s.iid.pushSeries(s.sample)
 	}
 	s.sorted = MergeSorted(s.sorted, o.sorted)
 	if b := s.Bytes(); b > s.peak {
@@ -166,11 +166,12 @@ func (s *FullSummary) Quantile(q float64) float64 {
 	return fullView{sorted: s.sorted}.Quantile(q)
 }
 
-// Bytes counts the retained sample, sorted view and battery state.
+// Bytes counts the retained sample, sorted view and battery state. The
+// battery reads the summary's own sample, which is counted once.
 func (s *FullSummary) Bytes() int {
 	b := (len(s.sample) + len(s.sorted)) * 8
 	if s.iid != nil {
-		b += s.iid.Bytes()
+		b += s.iid.bytesBeside(s.sample)
 	}
 	return b
 }

@@ -363,3 +363,36 @@ func TestStreamingSummaryMemoryBounded(t *testing.T) {
 		t.Fatalf("sketch step %v outside (0, %v)", step, 2*span/float64(budget-1))
 	}
 }
+
+// TestFullSummaryBatterySharesSample pins the full summary's memory model:
+// its incremental battery reads the summary's own run-ordered sample rather
+// than keeping a copy, so the sample is counted once; the battery still
+// reports exactly what a standalone battery fed the same blocks reports;
+// and a sample handed out before later pushes (an estimate's Sample) never
+// changes.
+func TestFullSummaryBatterySharesSample(t *testing.T) {
+	xs := gridSample(0x5A4E, 5000)
+	fs := NewFullSummary(true)
+	alone := new(IIDState)
+	var early, earlyCopy []float64
+	for lo := 0; lo < len(xs); lo += 700 {
+		blk := xs[lo:min(lo+700, len(xs))]
+		fs.Push(blk)
+		alone.Push(blk)
+		if early == nil {
+			early = fs.Sample()
+			earlyCopy = append([]float64(nil), early...)
+		}
+	}
+	if got, want := fs.IID(), alone.ReportSorted(fs.Sorted()); got != want {
+		t.Fatalf("shared battery %+v, standalone %+v", got, want)
+	}
+	if got, want := fs.Bytes(), 2*len(xs)*8+alone.Bytes()-len(xs)*8; got != want {
+		t.Fatalf("full summary counts %d B, want %d B (sample counted once)", got, want)
+	}
+	for i := range early {
+		if early[i] != earlyCopy[i] {
+			t.Fatalf("run %d of an early sample changed from %v to %v", i, earlyCopy[i], early[i])
+		}
+	}
+}

@@ -157,7 +157,8 @@ func WithPeerRetry(n int) Option {
 
 // WithHedgeDelay arms hedged shard dispatch: when the primary peer has
 // neither answered nor failed after d, the same shard races on a second
-// peer and the first valid summary wins (the loser is cancelled). Zero
+// peer and the first racer to finish decides the round (the other is
+// cancelled; a failure goes back to the retry loop). Zero
 // disables hedging (the default — hedges spend duplicate work to cut tail
 // latency, so they are opt-in); negative keeps the collector's default.
 // Bit-identity is unaffected: both racers compute the same run range.
